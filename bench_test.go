@@ -188,14 +188,31 @@ func BenchmarkReorder(b *testing.B) {
 
 // --- substrate microbenchmarks --------------------------------------------
 
+// BenchmarkNeighborBuild times the cell-list build at the paper's Small
+// case size (54 000 jittered bcc atoms) on one worker and on a
+// two-worker pool, reporting build time per atom.
 func BenchmarkNeighborBuild(b *testing.B) {
-	cfg := lattice.MustBuild(lattice.BCC, benchCells, benchCells, benchCells, lattice.FeLatticeConstant)
+	cfg := lattice.MustBuild(lattice.BCC, 30, 30, 30, lattice.FeLatticeConstant)
+	cfg.Jitter(0.1, 1)
 	builder := neighbor.Builder{Cutoff: 3.5, Skin: 0.5, Half: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := builder.Build(cfg.Box, cfg.Pos); err != nil {
-			b.Fatal(err)
-		}
+	pool, err := strategy.NewPool(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	for _, c := range []struct {
+		name string
+		pool neighbor.Parallelizer
+	}{{"serial", nil}, {"pool2", pool}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := builder.BuildParallel(cfg.Box, cfg.Pos, c.pool); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.N()), "ns/atom")
+		})
 	}
 }
 

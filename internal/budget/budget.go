@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -33,7 +34,7 @@ import (
 const Gcflags = "-m=1 -d=ssa/check_bce/debug=1"
 
 // DefaultPatterns are the kernel packages under budget.
-var DefaultPatterns = []string{"./internal/force", "./internal/strategy"}
+var DefaultPatterns = []string{"./internal/force", "./internal/neighbor", "./internal/strategy"}
 
 // Counts aggregates one file's diagnostics.
 type Counts struct {
@@ -93,6 +94,12 @@ func Parse(out string) map[string]Counts {
 		file := line[:i+3]
 		if strings.HasPrefix(file, "<") {
 			continue // <autogenerated> wrappers are not budgeted
+		}
+		if j := strings.LastIndex(file, "/src/"); j >= 0 && filepath.IsAbs(file) {
+			// Standard-library generics instantiated in a kernel
+			// (slices.Sort) report under the toolchain's install path;
+			// key them relative to GOROOT so the baseline ports.
+			file = "$GOROOT" + file[j:]
 		}
 		rest := line[i+4:]
 		if j := strings.Index(rest, ": "); j >= 0 {

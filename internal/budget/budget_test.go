@@ -20,16 +20,20 @@ internal/force/eam.go:51:14: Found IsSliceInBounds
 internal/strategy/pool.go:12:9: func literal escapes to heap
 internal/strategy/pool.go:19:11: Found IsInBounds
 internal/strategy/pool.go:19:11: Found IsInBounds
+/home/dev/sdk/go/src/slices/zsortordered.go:70:9: Found IsInBounds
 `
 
 // TestParseClassifies pins the parser: deduplicated lines, escape and
 // bounds classification, noise (inlining, leaking param, does not
-// escape, package headers, autogenerated wrappers) dropped.
+// escape, package headers, autogenerated wrappers) dropped, toolchain
+// paths keyed relative to GOROOT.
 func TestParseClassifies(t *testing.T) {
 	files := Parse(canned)
 	want := map[string]Counts{
 		"internal/force/eam.go":     {Escapes: 2, Bounds: 2},
 		"internal/strategy/pool.go": {Escapes: 1, Bounds: 1},
+		// Instantiated standard-library generics, keyed by GOROOT.
+		"$GOROOT/src/slices/zsortordered.go": {Bounds: 1},
 	}
 	if len(files) != len(want) {
 		t.Fatalf("parsed files = %v, want %v", files, want)

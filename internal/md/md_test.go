@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"sdcmd/internal/box"
 	"sdcmd/internal/core"
 	"sdcmd/internal/lattice"
+	"sdcmd/internal/neighbor"
 	"sdcmd/internal/potential"
 	"sdcmd/internal/strategy"
 	"sdcmd/internal/vec"
@@ -300,6 +302,59 @@ func TestThermostatFromZeroVelocities(t *testing.T) {
 	defer sim.Close()
 	if err := sim.Step(10); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebuiltListsMatchBruteForce melts a crystal from 3000 K so the
+// list rebuilds every few steps, and checks after every rebuild that the
+// list the simulator built on its own worker pool is the O(N²) oracle's
+// CSR byte for byte. The serial strategy owns no pool, so its case runs
+// the same path with a nil pool.
+func TestRebuiltListsMatchBruteForce(t *testing.T) {
+	cases := []struct {
+		kind    strategy.Kind
+		threads int
+		reorder bool
+	}{
+		{strategy.Tasked, 3, true},
+		{strategy.SDC, 2, false},
+		{strategy.Serial, 1, false},
+	}
+	for _, c := range cases {
+		sys := feSystem(t, 6, 3000)
+		cfg := DefaultConfig()
+		cfg.Strategy, cfg.Threads, cfg.BlockReorder = c.kind, c.threads, c.reorder
+		sim, err := NewSimulator(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := neighbor.Builder{Cutoff: cfg.Pot.Cutoff(), Skin: cfg.Skin, Half: true}
+		check := func(step int) {
+			want, err := oracle.BuildBruteForce(sys.Box, sys.Pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sim.List()
+			if !slices.Equal(got.Index, want.Index) || !slices.Equal(got.Len, want.Len) || !slices.Equal(got.Neigh, want.Neigh) {
+				t.Fatalf("%v: list rebuilt at step %d differs from brute force (%d vs %d pairs)",
+					c.kind, step, got.Pairs(), want.Pairs())
+			}
+		}
+		check(0)
+		seen := sim.Rebuilds()
+		for step := 1; step <= 200; step++ {
+			if err := sim.Step(1); err != nil {
+				t.Fatalf("%v: %v", c.kind, err)
+			}
+			if sim.Rebuilds() != seen {
+				seen = sim.Rebuilds()
+				check(step)
+			}
+		}
+		if seen < 6 {
+			t.Errorf("%v: only %d rebuilds in 200 steps; the melt did not exercise the rebuild path", c.kind, seen)
+		}
+		sim.Close()
 	}
 }
 

@@ -320,8 +320,14 @@ func (s *Simulator) rebuild() error {
 			}
 		}
 	}
+	// A nil *strategy.Pool stored in the interface would be non-nil, so
+	// the serial strategy passes an untyped nil (one worker).
+	var pool neighbor.Parallelizer
+	if s.pool != nil {
+		pool = s.pool
+	}
 	list, err := neighbor.Builder{Cutoff: s.eng.Cutoff(), Skin: s.cfg.Skin, Half: true}.
-		Build(s.Sys.Box, s.Sys.Pos)
+		BuildParallel(s.Sys.Box, s.Sys.Pos, pool)
 	if err != nil {
 		return err
 	}
@@ -365,7 +371,7 @@ func (s *Simulator) needsRebuild() bool {
 		return true // no slack: every step needs a fresh list
 	}
 	half := s.cfg.Skin / 2
-	return neighbor.MaxDisplacement2(s.Sys.Box, s.posAtBuild, s.Sys.Pos) > half*half
+	return neighbor.Exceeds(s.Sys.Box, s.posAtBuild, s.Sys.Pos, half*half)
 }
 
 // computeForces runs the instrumented three-phase EAM evaluation; the

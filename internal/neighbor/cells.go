@@ -140,43 +140,61 @@ func (g *CellGrid) CellAtoms(c int) []int32 {
 // CellOfAtom returns the flat cell index atom i was binned into.
 func (g *CellGrid) CellOfAtom(i int) int { return int(g.cell[i]) }
 
-// ForNeighborCells calls fn with the flat index of every cell in the
-// 3×3×3 neighborhood of cell coordinates c, honoring periodic wrap on
-// periodic axes and skipping out-of-range cells on open axes. When an
-// axis has fewer than 3 cells, wrapped duplicates are suppressed so each
-// neighbor cell is visited exactly once.
-func (g *CellGrid) ForNeighborCells(c [3]int, fn func(flat int)) {
-	var seen map[int]struct{}
-	small := g.Dims[0] < 3 || g.Dims[1] < 3 || g.Dims[2] < 3
-	if small {
-		seen = make(map[int]struct{}, 27)
-	}
-	for dx := -1; dx <= 1; dx++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dz := -1; dz <= 1; dz++ {
-				n := [3]int{c[0] + dx, c[1] + dy, c[2] + dz}
-				ok := true
-				for d := 0; d < 3; d++ {
-					if n[d] < 0 || n[d] >= g.Dims[d] {
-						if !g.Box.Periodic[d] {
-							ok = false
-							break
-						}
-						n[d] = ((n[d] % g.Dims[d]) + g.Dims[d]) % g.Dims[d]
-					}
-				}
-				if !ok {
+// stencilRun is one entry of a cell's search stencil: neighbor cells
+// first..last, consecutive along z and so one contiguous run of the
+// grid's atoms, and the periodic image shift (±L or 0 per axis) that
+// carries them next to the center cell.
+type stencilRun struct {
+	first, last int
+	shift       vec.Vec3
+}
+
+// appendStencil appends the search stencil of flat cell c to dst: the
+// 3×3×3 neighborhood, wrapped on periodic axes (a wrapped cell carries
+// its image shift) and clipped on open axes, with the z neighbors of
+// equal shift merged into one run. Every axis must have at least 3
+// cells so no cell appears twice; smaller grids take the brute-force
+// path instead.
+func (g *CellGrid) appendStencil(dst []stencilRun, c int) []stencilRun {
+	cc := g.Unflatten(c)
+	l := g.Box.Lengths()
+	var idx [3][3]int // neighbor coordinates per axis; on z, each run's first
+	var img [3][3]int // image offset in box lengths: -1, 0 or +1
+	var zlast [3]int  // last z coordinate of each run
+	var n [3]int
+	for d := 0; d < 3; d++ {
+		for k := cc[d] - 1; k <= cc[d]+1; k++ {
+			at, m := k, 0
+			switch {
+			case k >= 0 && k < g.Dims[d]:
+			case !g.Box.Periodic[d]:
+				continue
+			case k < 0:
+				at, m = k+g.Dims[d], -1
+			default:
+				at, m = k-g.Dims[d], 1
+			}
+			if d == 2 {
+				if n[2] > 0 && img[2][n[2]-1] == m { // no wrap in between
+					zlast[n[2]-1] = at
 					continue
 				}
-				flat := g.Flatten(n)
-				if small {
-					if _, dup := seen[flat]; dup {
-						continue
-					}
-					seen[flat] = struct{}{}
-				}
-				fn(flat)
+				zlast[n[2]] = at
+			}
+			idx[d][n[d]], img[d][n[d]] = at, m
+			n[d]++
+		}
+	}
+	for a := 0; a < n[0]; a++ {
+		for b := 0; b < n[1]; b++ {
+			for e := 0; e < n[2]; e++ {
+				dst = append(dst, stencilRun{
+					first: g.Flatten([3]int{idx[0][a], idx[1][b], idx[2][e]}),
+					last:  g.Flatten([3]int{idx[0][a], idx[1][b], zlast[e]}),
+					shift: vec.Vec3{float64(img[0][a]) * l[0], float64(img[1][b]) * l[1], float64(img[2][e]) * l[2]},
+				})
 			}
 		}
 	}
+	return dst
 }

@@ -2,7 +2,8 @@ package neighbor
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"sdcmd/internal/box"
 	"sdcmd/internal/vec"
@@ -168,8 +169,7 @@ func (l *List) ToFull() *List {
 	}
 	// Keep each atom's neighbors sorted for deterministic traversal.
 	for i := 0; i < n; i++ {
-		nb := full.Neighbors(i)
-		sort.Slice(nb, func(a, b int) bool { return nb[a] < nb[b] })
+		slices.Sort(full.Neighbors(i))
 	}
 	return full
 }
@@ -185,223 +185,204 @@ type Builder struct {
 	Half bool
 }
 
-// Build constructs the list with a cell grid (O(N)); when the box is
-// too small for a 3-cells-per-axis grid it transparently falls back to
-// the exact O(N²) search.
+// Parallelizer is the worker-pool capability BuildParallel needs; the
+// strategy.Pool satisfies it (declared here to avoid a dependency
+// cycle). ParallelFor must hand each worker at most one static block.
+type Parallelizer interface {
+	Threads() int
+	ParallelFor(n int, body func(start, end, tid int))
+}
+
+// serial is the one-worker Parallelizer behind Build.
+type serial struct{}
+
+func (serial) Threads() int                                      { return 1 }
+func (serial) ParallelFor(n int, body func(start, end, tid int)) { body(0, n, 0) }
+
+// Build constructs the list with a cell grid (O(N)) on one worker; when
+// the box is too small for a 3-cells-per-axis grid it falls back to the
+// exact O(N²) search.
 func (b Builder) Build(bx box.Box, pos []vec.Vec3) (*List, error) {
-	if !(b.Cutoff > 0) {
-		return nil, fmt.Errorf("neighbor: cutoff %g must be positive", b.Cutoff)
+	return b.BuildParallel(bx, pos, nil)
+}
+
+// BuildParallel is Build with the search spread over a worker pool
+// (nil means one worker). Each worker searches a static block of atoms
+// in one pass, filling its own row buffer; a prefix sum over the
+// buffers then places them in the final CSR, which is byte-identical to
+// BuildBruteForce on wrapped positions at any worker count. Unwrapped
+// positions keep the minimum-image semantics: the search runs on
+// wrapped copies. The pool is only borrowed.
+func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool Parallelizer) (*List, error) {
+	if err := b.validate(bx); err != nil {
+		return nil, err
 	}
-	if b.Skin < 0 {
-		return nil, fmt.Errorf("neighbor: skin %g must be non-negative", b.Skin)
-	}
-	reach := b.Cutoff + b.Skin
-	if !bx.FitsCutoff(reach) {
-		return nil, fmt.Errorf("neighbor: box %v too small for cutoff+skin %g (minimum image violated)", bx, reach)
-	}
-	grid, err := NewCellGrid(bx, pos, reach)
+	grid, err := NewCellGrid(bx, pos, b.Cutoff+b.Skin)
 	if err != nil {
 		return nil, err
 	}
 	if grid.Dims[0] < 3 || grid.Dims[1] < 3 || grid.Dims[2] < 3 {
 		return b.BuildBruteForce(bx, pos)
 	}
-	return b.buildFromGrid(bx, pos, grid)
-}
-
-func (b Builder) buildFromGrid(bx box.Box, pos []vec.Vec3, grid *CellGrid) (*List, error) {
+	if pool == nil {
+		pool = serial{}
+	}
 	n := len(pos)
-	reach2 := (b.Cutoff + b.Skin) * (b.Cutoff + b.Skin)
-	l := &List{
-		Half:   b.Half,
-		Cutoff: b.Cutoff,
-		Skin:   b.Skin,
-		Index:  make([]int32, n),
-		Len:    make([]int32, n),
+	s := search{Builder: b, grid: grid, packed: make([]vec.Vec3, n), slot: make([]int32, n)}
+	for k, a := range grid.Atoms {
+		s.packed[k] = bx.Wrap(pos[a])
+		s.slot[a] = int32(k)
 	}
-	// Two passes: count then fill, so Neigh is exactly sized and the
-	// CSR arrays are contiguous in atom order (the "regular array" form
-	// §II.D's reordering produces).
-	counts := make([]int32, n)
-	scratch := make([]int32, 0, 64)
-	forEachCandidate := func(i int) []int32 {
-		scratch = scratch[:0]
-		ci := grid.Unflatten(grid.CellOfAtom(i))
-		pi := pos[i]
-		grid.ForNeighborCells(ci, func(flat int) {
-			for _, j32 := range grid.CellAtoms(flat) {
-				j := int(j32)
-				if j == i {
-					continue
-				}
-				if b.Half && j < i {
-					continue
-				}
-				if bx.Distance2(pi, pos[j]) < reach2 {
-					scratch = append(scratch, j32)
-				}
-			}
-		})
-		return scratch
-	}
-	for i := 0; i < n; i++ {
-		counts[i] = int32(len(forEachCandidate(i)))
-	}
-	var total int32
-	for i := 0; i < n; i++ {
-		l.Index[i] = total
-		total += counts[i]
+	l := &List{Half: b.Half, Cutoff: b.Cutoff, Skin: b.Skin,
+		Index: make([]int32, n), Len: make([]int32, n)}
+
+	// One search pass: worker tid's rows land in segs[tid].
+	segs := make([]segment, pool.Threads())
+	pool.ParallelFor(n, func(start, end, tid int) {
+		segs[tid] = segment{start: start, end: end, neigh: s.rows(l.Len, start, end)}
+	})
+	slices.SortFunc(segs, func(x, y segment) int { return x.start - y.start })
+	total := 0
+	for k := range segs {
+		segs[k].off = total
+		total += len(segs[k].neigh)
 	}
 	l.Neigh = make([]int32, total)
-	for i := 0; i < n; i++ {
-		nb := forEachCandidate(i)
-		sort.Slice(nb, func(a, b int) bool { return nb[a] < nb[b] })
-		copy(l.Neigh[l.Index[i]:], nb)
-		l.Len[i] = int32(len(nb))
-	}
+	pool.ParallelFor(len(segs), func(start, end, _ int) {
+		for _, sg := range segs[start:end] {
+			//lint:ignore sdc-shared-write segments are disjoint by construction: off is an exclusive prefix sum over the segment lengths
+			copy(l.Neigh[sg.off:], sg.neigh)
+			off := int32(sg.off)
+			for i := sg.start; i < sg.end; i++ {
+				//lint:ignore sdc-shared-write segments cover disjoint atom blocks [start, end)
+				l.Index[i] = off
+				off += l.Len[i]
+			}
+		}
+	})
 	return l, nil
+}
+
+// segment is one worker's block of rows before placement in the CSR.
+type segment struct {
+	start, end, off int
+	neigh           []int32
+}
+
+// search is one cell-grid neighbor search: the grid and the wrapped
+// positions packed in the grid's cell order, so each stencil run's
+// candidates are read contiguously.
+type search struct {
+	Builder
+	grid   *CellGrid
+	packed []vec.Vec3 // packed[k] is the wrapped position of grid.Atoms[k]
+	slot   []int32    // slot[i] is atom i's index into packed
+}
+
+// rows appends the sorted neighbor rows of atoms [start, end) to a new
+// buffer, records each row length in lens, and returns the buffer. The
+// pair test is (xi − xj) − shift per axis, the same arithmetic as the
+// minimum image of BuildBruteForce, so both accept the same pairs.
+func (s *search) rows(lens []int32, start, end int) []int32 {
+	reach := s.Cutoff + s.Skin
+	reach2 := reach * reach
+	bx := s.grid.Box
+	// Mean neighbors per atom, so the buffer rarely regrows.
+	perAtom := float64(len(s.packed)) / bx.Volume() * 4 * math.Pi / 3 * reach * reach2
+	if s.Half {
+		perAtom /= 2
+	}
+	buf := make([]int32, 0, int(perAtom*float64(end-start))+16)
+	half := s.Half
+	st := make([]stencilRun, 0, 27)
+	last := -1
+	for i := start; i < end; i++ {
+		if c := s.grid.CellOfAtom(i); c != last {
+			st, last = s.grid.appendStencil(st[:0], c), c
+		}
+		i32 := int32(i)
+		xi := s.packed[s.slot[i]]
+		row := len(buf)
+		for _, sc := range st {
+			lo, hi := s.grid.Start[sc.first], s.grid.Start[sc.last+1]
+			atoms := s.grid.Atoms[lo:hi]
+			packed := s.packed[lo:hi]
+			packed = packed[:len(atoms)]
+			for k, j := range atoms {
+				if j == i32 || (half && j < i32) {
+					continue
+				}
+				dx := (xi[0] - packed[k][0]) - sc.shift[0]
+				dy := (xi[1] - packed[k][1]) - sc.shift[1]
+				dz := (xi[2] - packed[k][2]) - sc.shift[2]
+				if dx*dx+dy*dy+dz*dz < reach2 {
+					buf = append(buf, j)
+				}
+			}
+		}
+		slices.Sort(buf[row:])
+		lens[i] = int32(len(buf) - row)
+	}
+	return buf
+}
+
+func (b Builder) validate(bx box.Box) error {
+	if !(b.Cutoff > 0) {
+		return fmt.Errorf("neighbor: cutoff %g must be positive", b.Cutoff)
+	}
+	if b.Skin < 0 {
+		return fmt.Errorf("neighbor: skin %g must be non-negative", b.Skin)
+	}
+	if reach := b.Cutoff + b.Skin; !bx.FitsCutoff(reach) {
+		return fmt.Errorf("neighbor: box %v too small for cutoff+skin %g (minimum image violated)", bx, reach)
+	}
+	return nil
 }
 
 // BuildBruteForce is the exact O(N²) construction used as the test
 // oracle and as the small-box fallback.
 func (b Builder) BuildBruteForce(bx box.Box, pos []vec.Vec3) (*List, error) {
-	if !(b.Cutoff > 0) {
-		return nil, fmt.Errorf("neighbor: cutoff %g must be positive", b.Cutoff)
-	}
-	if b.Skin < 0 {
-		return nil, fmt.Errorf("neighbor: skin %g must be non-negative", b.Skin)
-	}
-	reach := b.Cutoff + b.Skin
-	if !bx.FitsCutoff(reach) {
-		return nil, fmt.Errorf("neighbor: box %v too small for cutoff+skin %g (minimum image violated)", bx, reach)
+	if err := b.validate(bx); err != nil {
+		return nil, err
 	}
 	n := len(pos)
-	reach2 := reach * reach
-	nb := make([][]int32, n)
+	reach2 := (b.Cutoff + b.Skin) * (b.Cutoff + b.Skin)
+	l := &List{Half: b.Half, Cutoff: b.Cutoff, Skin: b.Skin,
+		Index: make([]int32, n), Len: make([]int32, n), Neigh: []int32{}}
 	for i := 0; i < n; i++ {
+		l.Index[i] = int32(len(l.Neigh))
 		start := 0
 		if b.Half {
 			start = i + 1
 		}
 		for j := start; j < n; j++ {
-			if j == i {
-				continue
-			}
-			if bx.Distance2(pos[i], pos[j]) < reach2 {
-				nb[i] = append(nb[i], int32(j))
+			if j != i && bx.Distance2(pos[i], pos[j]) < reach2 {
+				l.Neigh = append(l.Neigh, int32(j))
 			}
 		}
-	}
-	l := &List{Half: b.Half, Cutoff: b.Cutoff, Skin: b.Skin,
-		Index: make([]int32, n), Len: make([]int32, n)}
-	var total int32
-	for i := 0; i < n; i++ {
-		l.Index[i] = total
-		total += int32(len(nb[i]))
-	}
-	l.Neigh = make([]int32, total)
-	for i := 0; i < n; i++ {
-		copy(l.Neigh[l.Index[i]:], nb[i])
-		l.Len[i] = int32(len(nb[i]))
+		l.Len[i] = int32(len(l.Neigh)) - l.Index[i]
 	}
 	return l, nil
 }
 
-// MaxDisplacement2 returns the largest squared minimum-image
-// displacement between two position snapshots; the MD driver rebuilds
-// the list when this exceeds (Skin/2)².
-func MaxDisplacement2(bx box.Box, old, cur []vec.Vec3) float64 {
-	worst := 0.0
+// Exceeds reports whether any atom has moved more than sqrt(limit2)
+// (minimum image) between two snapshots, stopping at the first; the
+// simulator rebuilds the list past Skin/2. A component within half the box
+// is its own minimum image, so only face-crossing atoms pay the
+// rounding division; for a limit below half the shortest periodic edge
+// the answer matches thresholding Box.Distance2.
+func Exceeds(bx box.Box, old, cur []vec.Vec3, limit2 float64) bool {
+	l := bx.Lengths()
 	for i := range cur {
-		if d2 := bx.Distance2(cur[i], old[i]); d2 > worst {
-			worst = d2
-		}
-	}
-	return worst
-}
-
-// BuildParallel is Build with the candidate search parallelized over a
-// worker pool (counts pass and fill pass are both per-atom-independent,
-// so no synchronization is needed beyond the pool barriers). Results
-// are identical to Build. The pool is only borrowed; nil falls back to
-// the serial Build.
-func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool Parallelizer) (*List, error) {
-	if pool == nil {
-		return b.Build(bx, pos)
-	}
-	if !(b.Cutoff > 0) {
-		return nil, fmt.Errorf("neighbor: cutoff %g must be positive", b.Cutoff)
-	}
-	if b.Skin < 0 {
-		return nil, fmt.Errorf("neighbor: skin %g must be non-negative", b.Skin)
-	}
-	reach := b.Cutoff + b.Skin
-	if !bx.FitsCutoff(reach) {
-		return nil, fmt.Errorf("neighbor: box %v too small for cutoff+skin %g (minimum image violated)", bx, reach)
-	}
-	grid, err := NewCellGrid(bx, pos, reach)
-	if err != nil {
-		return nil, err
-	}
-	if grid.Dims[0] < 3 || grid.Dims[1] < 3 || grid.Dims[2] < 3 {
-		return b.BuildBruteForce(bx, pos)
-	}
-	n := len(pos)
-	reach2 := reach * reach
-	l := &List{
-		Half:   b.Half,
-		Cutoff: b.Cutoff,
-		Skin:   b.Skin,
-		Index:  make([]int32, n),
-		Len:    make([]int32, n),
-	}
-	candidates := func(i int, out []int32) []int32 {
-		out = out[:0]
-		ci := grid.Unflatten(grid.CellOfAtom(i))
-		pi := pos[i]
-		grid.ForNeighborCells(ci, func(flat int) {
-			for _, j32 := range grid.CellAtoms(flat) {
-				j := int(j32)
-				if j == i || (b.Half && j < i) {
-					continue
-				}
-				if bx.Distance2(pi, pos[j]) < reach2 {
-					out = append(out, j32)
-				}
+		d := cur[i].Sub(old[i])
+		for a := 0; a < 3; a++ {
+			if bx.Periodic[a] && math.Abs(d[a]) > l[a]/2 {
+				d[a] -= l[a] * math.Round(d[a]/l[a])
 			}
-		})
-		return out
-	}
-	counts := make([]int32, n)
-	pool.ParallelFor(n, func(start, end, _ int) {
-		scratch := make([]int32, 0, 64)
-		for i := start; i < end; i++ {
-			scratch = candidates(i, scratch)
-			counts[i] = int32(len(scratch))
 		}
-	})
-	var total int32
-	for i := 0; i < n; i++ {
-		l.Index[i] = total
-		total += counts[i]
-	}
-	l.Neigh = make([]int32, total)
-	pool.ParallelFor(n, func(start, end, _ int) {
-		scratch := make([]int32, 0, 64)
-		for i := start; i < end; i++ {
-			scratch = candidates(i, scratch)
-			sort.Slice(scratch, func(a, b int) bool { return scratch[a] < scratch[b] })
-			//lint:ignore sdc-shared-write rows are disjoint by construction: Index is an exclusive prefix sum over counts, so [Index[i], Index[i]+counts[i]) never overlaps across i
-			copy(l.Neigh[l.Index[i]:], scratch)
-			l.Len[i] = int32(len(scratch))
+		if d.Norm2() > limit2 {
+			return true
 		}
-	})
-	return l, nil
-}
-
-// Parallelizer is the worker-pool capability BuildParallel needs; the
-// strategy.Pool satisfies it (declared here to avoid a dependency
-// cycle).
-type Parallelizer interface {
-	ParallelFor(n int, body func(start, end, tid int))
+	}
+	return false
 }

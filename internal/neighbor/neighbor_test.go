@@ -1,8 +1,10 @@
 package neighbor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -83,46 +85,87 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestForNeighborCellsCount(t *testing.T) {
-	bx := box.MustNew(vec.Zero, vec.Splat(10))
-	g, _ := NewCellGrid(bx, nil, 2.0) // 5×5×5 periodic
-	count := 0
-	g.ForNeighborCells([3]int{2, 2, 2}, func(int) { count++ })
-	if count != 27 {
-		t.Errorf("interior neighborhood = %d cells, want 27", count)
-	}
-	// Periodic wrap at the corner still yields 27 distinct cells.
-	seen := map[int]bool{}
-	g.ForNeighborCells([3]int{0, 0, 0}, func(f int) { seen[f] = true })
-	if len(seen) != 27 {
-		t.Errorf("corner neighborhood = %d distinct cells, want 27", len(seen))
-	}
-}
-
-func TestForNeighborCellsSmallGridNoDuplicates(t *testing.T) {
-	bx := box.MustNew(vec.Zero, vec.New(4, 4, 20))
-	g, _ := NewCellGrid(bx, nil, 2.0) // 2×2×10
-	visits := map[int]int{}
-	g.ForNeighborCells([3]int{0, 0, 5}, func(f int) { visits[f]++ })
-	for c, n := range visits {
-		if n > 1 {
-			t.Errorf("cell %d visited %d times", c, n)
+// stencilOf returns cell c's stencil keyed by flat index, failing on a
+// duplicate entry.
+func stencilOf(t *testing.T, g *CellGrid, c [3]int) map[int]vec.Vec3 {
+	t.Helper()
+	out := map[int]vec.Vec3{}
+	for _, r := range g.appendStencil(nil, g.Flatten(c)) {
+		if r.last < r.first || g.Unflatten(r.last)[2]-g.Unflatten(r.first)[2] != r.last-r.first {
+			t.Fatalf("cell %v: run %d..%d is not one z column", c, r.first, r.last)
+		}
+		for f := r.first; f <= r.last; f++ {
+			if _, dup := out[f]; dup {
+				t.Fatalf("cell %v: stencil lists cell %v twice", c, g.Unflatten(f))
+			}
+			out[f] = r.shift
 		}
 	}
-	// 2 wrapped x-cells × 2 wrapped y-cells × 3 z-cells = 12 distinct.
-	if len(visits) != 12 {
-		t.Errorf("distinct neighbor cells = %d, want 12", len(visits))
+	return out
+}
+
+func TestStencilCount(t *testing.T) {
+	bx := box.MustNew(vec.Zero, vec.Splat(10))
+	g, _ := NewCellGrid(bx, nil, 2.0) // 5×5×5 periodic
+	inner := stencilOf(t, g, [3]int{2, 2, 2})
+	if len(inner) != 27 {
+		t.Errorf("interior stencil = %d cells, want 27", len(inner))
+	}
+	for f, sh := range inner {
+		if sh != vec.Zero {
+			t.Errorf("interior neighbor %v carries image shift %v", g.Unflatten(f), sh)
+		}
+	}
+	// Periodic wrap at the corner still yields 27 distinct cells; the
+	// wrapped ones (coordinate 4) sit one box length below.
+	corner := stencilOf(t, g, [3]int{0, 0, 0})
+	if len(corner) != 27 {
+		t.Errorf("corner stencil = %d distinct cells, want 27", len(corner))
+	}
+	for f, sh := range corner {
+		c := g.Unflatten(f)
+		for d := 0; d < 3; d++ {
+			want := 0.0
+			if c[d] == 4 {
+				want = -10
+			}
+			if sh[d] != want {
+				t.Errorf("corner neighbor %v: shift %v, want %g on axis %d", c, sh, want, d)
+			}
+		}
 	}
 }
 
-func TestForNeighborCellsOpenBoundary(t *testing.T) {
+func TestStencilMinimumGridNoDuplicates(t *testing.T) {
+	bx := box.MustNew(vec.Zero, vec.New(6, 6, 20))
+	g, _ := NewCellGrid(bx, nil, 2.0) // 3×3×10: the smallest grid the stencil serves
+	for c := 0; c < g.NumCells(); c++ {
+		if got := len(stencilOf(t, g, g.Unflatten(c))); got != 27 {
+			t.Fatalf("cell %v: %d distinct stencil cells, want 27", g.Unflatten(c), got)
+		}
+	}
+	// On a 3-cell axis both faces wrap: cell 2's +1 neighbor is cell 0
+	// one box length up.
+	st := stencilOf(t, g, [3]int{2, 1, 5})
+	if sh := st[g.Flatten([3]int{0, 1, 5})]; sh != vec.New(6, 0, 0) {
+		t.Errorf("wrapped +x neighbor shift = %v, want (6,0,0)", sh)
+	}
+}
+
+func TestStencilOpenBoundary(t *testing.T) {
 	bx := box.MustNew(vec.Zero, vec.Splat(10))
 	bx.Periodic = [3]bool{false, true, true}
 	g, _ := NewCellGrid(bx, nil, 2.0)
-	count := 0
-	g.ForNeighborCells([3]int{0, 2, 2}, func(int) { count++ })
-	if count != 18 { // 2×3×3: no wrap across the open x face
-		t.Errorf("open-boundary neighborhood = %d, want 18", count)
+	for _, c := range [][3]int{{0, 2, 2}, {4, 2, 2}} {
+		st := stencilOf(t, g, c)
+		if len(st) != 18 { // 2×3×3: no wrap across the open x face
+			t.Errorf("open-boundary stencil at %v = %d cells, want 18", c, len(st))
+		}
+		for f, sh := range st {
+			if sh != vec.Zero {
+				t.Errorf("open-boundary neighbor %v carries shift %v", g.Unflatten(f), sh)
+			}
+		}
 	}
 }
 
@@ -456,19 +499,51 @@ func TestStatsEmpty(t *testing.T) {
 	}
 }
 
-func TestMaxDisplacement2(t *testing.T) {
+// maxDisplacement2 is the reference skin measure: the largest squared
+// minimum-image displacement between two snapshots.
+func maxDisplacement2(bx box.Box, old, cur []vec.Vec3) float64 {
+	worst := 0.0
+	for i := range cur {
+		worst = math.Max(worst, bx.Distance2(cur[i], old[i]))
+	}
+	return worst
+}
+
+func TestExceeds(t *testing.T) {
 	bx := box.MustNew(vec.Zero, vec.Splat(10))
 	old := []vec.Vec3{{1, 1, 1}, {5, 5, 5}}
 	cur := []vec.Vec3{{1, 1, 1.5}, {5, 5.2, 5}}
-	got := MaxDisplacement2(bx, old, cur)
-	if math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("MaxDisplacement2 = %g, want 0.25", got)
+	// The largest displacement² is 0.25; the threshold is strict.
+	if !Exceeds(bx, old, cur, 0.24) || Exceeds(bx, old, cur, 0.25) {
+		t.Error("Exceeds misjudges a 0.5 Å move against limits 0.24 / 0.25")
 	}
-	// Across the periodic boundary the displacement is the short way.
+	// Across the periodic boundary the displacement is the short way
+	// (0.2 Å, not 9.8 Å).
 	old2 := []vec.Vec3{{0.1, 0, 0}}
 	cur2 := []vec.Vec3{{9.9, 0, 0}}
-	if d := MaxDisplacement2(bx, old2, cur2); math.Abs(d-0.04) > 1e-9 {
-		t.Errorf("periodic displacement² = %g, want 0.04", d)
+	if !Exceeds(bx, old2, cur2, 0.03) || Exceeds(bx, old2, cur2, 0.05) {
+		t.Error("periodic displacement not taken the short way")
+	}
+	if Exceeds(bx, nil, nil, 0) {
+		t.Error("empty snapshot exceeds")
+	}
+	// Same decision as thresholding the reference measure, with moves
+	// that cross periodic faces and an open axis.
+	bx.Periodic[2] = false
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		old := randomPositions(50, bx, int64(trial))
+		cur := make([]vec.Vec3, len(old))
+		for i, p := range old {
+			d := vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(0.3)
+			cur[i] = bx.Wrap(p.Add(d))
+		}
+		worst := maxDisplacement2(bx, old, cur)
+		for _, limit := range []float64{0.1, 0.5, 1, 2, math.Sqrt(worst)} {
+			if got, want := Exceeds(bx, old, cur, limit*limit), worst > limit*limit; got != want {
+				t.Fatalf("trial %d limit %g: Exceeds = %v, reference max displacement² %g", trial, limit, got, worst)
+			}
+		}
 	}
 }
 
@@ -488,6 +563,8 @@ func TestNeighborsSorted(t *testing.T) {
 
 // fakePool implements Parallelizer with plain goroutines.
 type fakePool struct{ threads int }
+
+func (p fakePool) Threads() int { return p.threads }
 
 func (p fakePool) ParallelFor(n int, body func(start, end, tid int)) {
 	var wg sync.WaitGroup
@@ -578,4 +655,132 @@ func TestBuildParallelValidation(t *testing.T) {
 	if got.Pairs() != want.Pairs() {
 		t.Error("small-box fallback differs")
 	}
+}
+
+// sameCSR fails unless got and want hold byte-identical CSR arrays.
+func sameCSR(t *testing.T, name string, got, want *List) {
+	t.Helper()
+	if !slices.Equal(got.Index, want.Index) || !slices.Equal(got.Len, want.Len) || !slices.Equal(got.Neigh, want.Neigh) {
+		t.Fatalf("%s: CSR differs from the oracle (%d vs %d pairs)", name, got.Pairs(), want.Pairs())
+	}
+	if got.Half != want.Half || got.Cutoff != want.Cutoff || got.Skin != want.Skin {
+		t.Fatalf("%s: build parameters differ", name)
+	}
+}
+
+// buildsAtEveryWorkerCount runs Build and BuildParallel on 1–4 workers.
+func buildsAtEveryWorkerCount(t *testing.T, b Builder, bx box.Box, pos []vec.Vec3, check func(name string, l *List)) {
+	t.Helper()
+	l, err := b.Build(bx, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Build", l)
+	for w := 1; w <= 4; w++ {
+		l, err := b.BuildParallel(bx, pos, fakePool{threads: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("BuildParallel/%d", w), l)
+	}
+}
+
+// TestBuildMatchesBruteForceCSR pins the builder's output to the O(N²)
+// oracle byte for byte on wrapped inputs, at every worker count.
+func TestBuildMatchesBruteForceCSR(t *testing.T) {
+	lat := lattice.MustBuild(lattice.BCC, 6, 6, 6, 2.8665)
+	lat.Jitter(0.2, 3)
+
+	// An open-x slab shaped like a hybrid rank's local box: owned atoms
+	// in [0, 12), ghosts a reach beyond each face, a few past Lo/Hi.
+	const reach = 4.0
+	slab := box.MustNew(vec.New(-reach-1e-9, 0, 0), vec.New(12+reach+1e-9, 14, 14))
+	slab.Periodic = [3]bool{false, true, true}
+	rng := rand.New(rand.NewSource(8))
+	var slabPos []vec.Vec3
+	for i := 0; i < 500; i++ {
+		slabPos = append(slabPos, vec.New(rng.Float64()*(12+2*reach)-reach, rng.Float64()*14, rng.Float64()*14))
+	}
+	for _, x := range []float64{-reach - 0.3, -reach - 2, 12 + reach + 0.3, 12 + reach + 2} {
+		slabPos = append(slabPos, vec.New(x, rng.Float64()*14, rng.Float64()*14))
+	}
+
+	small := box.MustNew(vec.Zero, vec.Splat(4.2))
+	big := box.MustNew(vec.Zero, vec.Splat(12))
+	cases := []struct {
+		name string
+		bx   box.Box
+		pos  []vec.Vec3
+		b    Builder
+	}{
+		{"periodic-lattice", lat.Box, lat.Pos, Builder{Cutoff: 3.5, Skin: 0.5}},
+		{"open-x-slab", slab, slabPos, Builder{Cutoff: 3.5, Skin: 0.5}},
+		{"small-grid-fallback", small, randomPositions(60, small, 19), Builder{Cutoff: 2}},
+		{"empty", big, nil, Builder{Cutoff: 2}},
+		{"fewer-atoms-than-workers", big, randomPositions(3, big, 4), Builder{Cutoff: 2.5}},
+		{"touching-fewer-atoms-than-workers", big, []vec.Vec3{{1, 1, 1}, {11.5, 1, 1}, {1, 2, 1}}, Builder{Cutoff: 2.5}},
+	}
+	for _, c := range cases {
+		for _, half := range []bool{true, false} {
+			b := c.b
+			b.Half = half
+			want, err := b.BuildBruteForce(c.bx, c.pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.name == "periodic-lattice" && want.Pairs() == 0 {
+				t.Fatal("test needs pairs")
+			}
+			buildsAtEveryWorkerCount(t, b, c.bx, c.pos, func(name string, got *List) {
+				sameCSR(t, fmt.Sprintf("%s half=%v %s", c.name, half, name), got, want)
+			})
+		}
+	}
+}
+
+// TestBuildUnwrappedKeepsMinimumImage: positions just outside the
+// primary cell (and whole images away) find the same pairs as the
+// oracle's minimum image, with one CSR at every worker count.
+func TestBuildUnwrappedKeepsMinimumImage(t *testing.T) {
+	lat := lattice.MustBuild(lattice.BCC, 6, 6, 6, 2.8665)
+	lat.Jitter(0.2, 5)
+	l := lat.Box.Lengths()
+	rng := rand.New(rand.NewSource(6))
+	pos := append([]vec.Vec3(nil), lat.Pos...)
+	for i := range pos {
+		switch rng.Intn(4) {
+		case 0:
+			d := rng.Intn(3)
+			pos[i][d] += float64(rng.Intn(3)-1) * l[d]
+		case 1:
+			d := rng.Intn(3)
+			if pos[i][d] < 0.5 {
+				pos[i][d] -= 1e-3 // just below Lo
+			}
+		}
+	}
+	b := Builder{Cutoff: 3.5, Skin: 0.5, Half: true}
+	want, err := b.BuildBruteForce(lat.Box, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := b.Build(lat.Box, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ws, rs := want.PairSet(), ref.PairSet()
+	if len(ws) != len(rs) {
+		t.Fatalf("%d pairs vs %d from the oracle", len(rs), len(ws))
+	}
+	for p := range ws {
+		if _, ok := rs[p]; !ok {
+			t.Fatalf("missing pair %v", p)
+		}
+	}
+	buildsAtEveryWorkerCount(t, b, lat.Box, pos, func(name string, got *List) {
+		sameCSR(t, name, got, ref)
+	})
 }
